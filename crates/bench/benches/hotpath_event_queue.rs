@@ -1,12 +1,13 @@
 //! Hot-path microbenches for the slab-indexed event queue.
 //!
 //! The PR-5 queue overhaul keeps the binary heap holding small `Copy`
-//! nodes while event payloads live in a slab. These benches pin the two
-//! costs that refactor targets: push/pop at realistic pending-population
+//! nodes while event payloads live in a slab. These benches pin the costs
+//! that refactor targets: timer push/pop at realistic pending-population
 //! depths (a campaign holds roughly one pending event per PE, so 1k and
-//! 16k bracket the paper grid and a far larger deployment), and the pure
-//! chunk-stream computation of the techniques whose decisions feed those
-//! events.
+//! 16k bracket the paper grid and a far larger deployment), the
+//! master/worker event mix whose constant-delay messages ride the FIFO
+//! delivery lanes, and the pure chunk-stream computation of the
+//! techniques whose decisions feed those events.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dls_core::{LoopSetup, Technique};
@@ -61,6 +62,69 @@ fn queue_depth(c: &mut Criterion) {
     g.finish();
 }
 
+/// Master side of the Fig 6 event mix: answers each request with one work
+/// message until `chunks_left` runs out. Actor 0.
+struct MixMaster {
+    chunks_left: u32,
+}
+
+impl Actor<()> for MixMaster {
+    fn on_message(&mut self, from: ActorId, _m: (), ctx: &mut Ctx<'_, ()>) {
+        if self.chunks_left > 0 {
+            self.chunks_left -= 1;
+            ctx.send(from, SimTime::from_nanos(1), ());
+        }
+    }
+}
+
+/// Worker side: request, compute for a varied time (a timer), request
+/// again. Every message takes 1 ns, as with `LinkSpec::negligible()`.
+struct MixWorker {
+    rounds: u64,
+}
+
+impl Actor<()> for MixWorker {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+        ctx.send(0, SimTime::from_nanos(1), ());
+    }
+
+    fn on_message(&mut self, _from: ActorId, _m: (), ctx: &mut Ctx<'_, ()>) {
+        // A fixed hash of (worker, round) spreads chunk times over
+        // 1–100 µs, so the timers keep the heap about one entry per worker.
+        self.rounds += 1;
+        let h = (ctx.self_id() as u64 ^ (self.rounds << 20)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ctx.set_timer(SimTime::from_nanos(1_000 + (h >> 40) % 99_000), 0);
+    }
+
+    fn on_timer(&mut self, _key: u64, ctx: &mut Ctx<'_, ()>) {
+        ctx.send(0, SimTime::from_nanos(1), ());
+    }
+}
+
+fn master_worker_mix(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hotpath_queue_depth");
+    g.sample_size(20).measurement_time(Duration::from_secs(3));
+
+    let (workers, chunks) = (1_024usize, 100_000u32);
+    // Per chunk: request delivery, work delivery, compute timer; plus the
+    // final unanswered request of each worker.
+    let events = 3 * chunks as u64 + workers as u64;
+    g.throughput(Throughput::Elements(events));
+    g.bench_with_input(BenchmarkId::new("master_worker_mix", workers), &workers, |b, &workers| {
+        b.iter(|| {
+            let mut eng = Engine::new();
+            eng.add_actor(Box::new(MixMaster { chunks_left: chunks }));
+            for _ in 0..workers {
+                eng.add_actor(Box::new(MixWorker { rounds: 0 }));
+            }
+            let (_, stats) = eng.run();
+            assert_eq!(stats.events, events);
+            stats.events
+        })
+    });
+    g.finish();
+}
+
 fn chunk_stream(c: &mut Criterion) {
     let setup = LoopSetup::new(100_000, 16).with_moments(1.0, 1.0).with_overhead(0.5);
     let mut g = c.benchmark_group("hotpath_chunk_stream");
@@ -87,5 +151,5 @@ fn chunk_stream(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, queue_depth, chunk_stream);
+criterion_group!(benches, queue_depth, master_worker_mix, chunk_stream);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 use crate::SimTime;
 use dls_trace::{TraceKind, Tracer};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Identifies an actor within one [`Engine`].
 pub type ActorId = usize;
@@ -80,15 +80,23 @@ enum EventKind<M> {
     Timer { actor: ActorId, key: u64, id: Option<TimerId> },
 }
 
-/// Heap node for one pending event. The payload ([`EventKind`]) lives in a
+/// Queue node for one pending event. The payload ([`EventKind`]) lives in a
 /// slab and is addressed by `slot`; only this small fixed-size node moves
-/// through heap sifts. Ordering is keyed by `(time, seq)` alone — never by
-/// `slot`, which is reused and carries no temporal meaning.
+/// through heap sifts and lanes. Ordering is keyed by `(time, seq)` alone —
+/// never by `slot`, which is reused and carries no temporal meaning.
 #[derive(Clone, Copy)]
 struct EventNode {
     time: SimTime,
     seq: u64,
     slot: u32,
+}
+
+impl EventNode {
+    /// Dispatch key: earliest time first, ties in scheduling order.
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 impl PartialEq for EventNode {
@@ -290,11 +298,23 @@ pub struct EngineStats {
     pub max_cancelled: usize,
 }
 
+/// Most FIFO delivery lanes one engine keeps (see [`Engine::push_event`]).
+/// Without master service time the master/worker protocol sends with at
+/// most three distinct delays (request, work, finalize link times), so four
+/// lanes cover it with one spare; further distinct delays use the heap.
+const MAX_LANES: usize = 4;
+
 /// The discrete-event engine: owns actors and the event queue.
 pub struct Engine<M> {
     actors: Vec<Box<dyn Actor<M>>>,
     dead: Vec<bool>,
+    /// Timers, and deliveries whose delay has no lane.
     heap: BinaryHeap<EventNode>,
+    /// FIFO delivery lanes, one per distinct send delay, each sorted by
+    /// `(time, seq)` by construction (see [`Engine::push_event`]).
+    lanes: Vec<(SimTime, VecDeque<EventNode>)>,
+    /// Events pending across the heap and every lane.
+    pending: usize,
     slab: EventSlab<M>,
     now: SimTime,
     seq: u64,
@@ -319,6 +339,8 @@ impl<M> Engine<M> {
             actors: Vec::new(),
             dead: Vec::new(),
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
+            pending: 0,
             slab: EventSlab::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -363,13 +385,74 @@ impl<M> Engine<M> {
         self.tracer = tracer;
     }
 
+    /// Enqueues one event at `time`, taking the next sequence number.
+    ///
+    /// A delivery goes to the FIFO lane keyed by its total delay
+    /// `time - now`, opening a lane if fewer than [`MAX_LANES`] exist;
+    /// timers, and deliveries whose delay finds no lane, go to the heap.
+    /// Each lane stays sorted by `(time, seq)` without any sifting: pushes
+    /// happen at nondecreasing `now` with one fixed delay, so `time` never
+    /// decreases along a lane, and `seq` strictly increases.
     #[inline]
     fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        let slot = self.slab.insert(kind);
-        self.heap.push(EventNode { time, seq, slot });
-        self.stats.max_queue = self.stats.max_queue.max(self.heap.len());
+        let is_delivery = matches!(kind, EventKind::Deliver { .. });
+        let node = EventNode { time, seq, slot: self.slab.insert(kind) };
+        self.pending += 1;
+        self.stats.max_queue = self.stats.max_queue.max(self.pending);
+        if is_delivery {
+            if let Some(lane) = self.lane_for(time - self.now) {
+                lane.push_back(node);
+                return;
+            }
+        }
+        self.heap.push(node);
+    }
+
+    /// The lane keyed by `delay`, opened on first use while fewer than
+    /// [`MAX_LANES`] exist; `None` once the cap is reached.
+    #[inline]
+    fn lane_for(&mut self, delay: SimTime) -> Option<&mut VecDeque<EventNode>> {
+        let i = match self.lanes.iter().position(|(d, _)| *d == delay) {
+            Some(i) => i,
+            None if self.lanes.len() < MAX_LANES => {
+                self.lanes.push((delay, VecDeque::with_capacity(self.queue_capacity())));
+                self.lanes.len() - 1
+            }
+            None => return None,
+        };
+        Some(&mut self.lanes[i].1)
+    }
+
+    /// Capacity reserved for each queue: the common steady state is one
+    /// in-flight event per actor, plus slack, so the first ramp-up does not
+    /// reallocate repeatedly.
+    fn queue_capacity(&self) -> usize {
+        2 * self.actors.len() + 16
+    }
+
+    /// Removes the earliest pending event by `(time, seq)`: the smallest
+    /// of the heap top and the lane fronts, each of which is the minimum
+    /// of its own queue.
+    #[inline]
+    fn pop_event(&mut self) -> Option<EventNode> {
+        let mut best = self.heap.peek().map(EventNode::key);
+        let mut from_lane = None;
+        for (i, (_, lane)) in self.lanes.iter().enumerate() {
+            if let Some(front) = lane.front() {
+                if best.is_none_or(|b| front.key() < b) {
+                    best = Some(front.key());
+                    from_lane = Some(i);
+                }
+            }
+        }
+        let node = match from_lane {
+            Some(i) => self.lanes[i].1.pop_front(),
+            None => self.heap.pop(),
+        }?;
+        self.pending -= 1;
+        Some(node)
     }
 
     fn drain_commands(&mut self, issuer: ActorId) -> bool {
@@ -497,9 +580,7 @@ impl<M> Engine<M> {
     /// re-run afterwards.
     pub fn run(mut self) -> (Vec<Box<dyn Actor<M>>>, EngineStats) {
         let num_actors = self.actors.len();
-        // Reserve for the common steady state (one in-flight event per actor
-        // plus slack) so the first ramp-up does not reallocate repeatedly.
-        let cap = 2 * num_actors + 16;
+        let cap = self.queue_capacity();
         self.heap.reserve(cap);
         self.slab.reserve(cap);
         self.commands.reserve(16);
@@ -526,7 +607,7 @@ impl<M> Engine<M> {
             }
         }
 
-        while let Some(node) = self.heap.pop() {
+        while let Some(node) = self.pop_event() {
             debug_assert!(node.time >= self.now, "time must be monotone");
             let kind = self.slab.take(node.slot);
             // Cancelled timers and traffic to killed actors are skipped
@@ -617,6 +698,8 @@ impl<M> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Ping-pong: actor 0 sends to 1, 1 replies, N rounds, fixed latency.
     struct Pinger {
@@ -660,11 +743,11 @@ mod tests {
 
     /// Events at the identical timestamp are dispatched in scheduling order.
     struct Recorder {
-        log: Vec<u32>,
+        log: Rc<RefCell<Vec<u32>>>,
     }
     impl Actor<u32> for Recorder {
         fn on_message(&mut self, _from: ActorId, msg: u32, _ctx: &mut Ctx<'_, u32>) {
-            self.log.push(msg);
+            self.log.borrow_mut().push(msg);
         }
     }
     struct Burst;
@@ -679,18 +762,44 @@ mod tests {
 
     #[test]
     fn fifo_among_equal_timestamps() {
+        let log = Rc::new(RefCell::new(Vec::new()));
         let mut eng = Engine::new();
         eng.add_actor(Box::new(Burst));
-        eng.add_actor(Box::new(Recorder { log: vec![] }));
-        let (actors, stats) = eng.run();
+        eng.add_actor(Box::new(Recorder { log: Rc::clone(&log) }));
+        let (_, stats) = eng.run();
         assert_eq!(stats.events, 16);
-        // Recover the recorder to inspect its log. We know actor 1's type.
-        let _ = actors;
+        assert_eq!(*log.borrow(), (0..16).collect::<Vec<u32>>());
+    }
+
+    /// Pending events are counted across the delivery lanes and the heap:
+    /// 16 same-delay sends ride one lane, 3 timers sit in the heap.
+    #[test]
+    fn max_queue_counts_lanes_and_heap() {
+        struct BurstAndTimers;
+        impl Actor<u32> for BurstAndTimers {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                for i in 0..16 {
+                    ctx.send(1, SimTime::from_nanos(1000), i);
+                }
+                for k in 0..3 {
+                    ctx.set_timer(SimTime::from_nanos(500 + k), k);
+                }
+            }
+            fn on_message(&mut self, _f: ActorId, _m: u32, _c: &mut Ctx<'_, u32>) {}
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut eng = Engine::new();
+        eng.add_actor(Box::new(BurstAndTimers));
+        eng.add_actor(Box::new(Recorder { log: Rc::clone(&log) }));
+        let (_, stats) = eng.run();
+        assert_eq!(stats.max_queue, 19);
+        assert_eq!(stats.events, 19);
+        assert_eq!(*log.borrow(), (0..16).collect::<Vec<u32>>());
     }
 
     /// Timers fire at the right time with the right key.
     struct TimerUser {
-        fired: Vec<(u64, SimTime)>,
+        fired: Rc<RefCell<Vec<(u64, SimTime)>>>,
     }
     impl Actor<()> for TimerUser {
         fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
@@ -700,18 +809,20 @@ mod tests {
         }
         fn on_message(&mut self, _f: ActorId, _m: (), _c: &mut Ctx<'_, ()>) {}
         fn on_timer(&mut self, key: u64, ctx: &mut Ctx<'_, ()>) {
-            self.fired.push((key, ctx.now()));
+            self.fired.borrow_mut().push((key, ctx.now()));
         }
     }
 
     #[test]
     fn timers_fire_in_time_order() {
+        let fired = Rc::new(RefCell::new(Vec::new()));
         let mut eng = Engine::new();
-        eng.add_actor(Box::new(TimerUser { fired: vec![] }));
-        let (actors, stats) = eng.run();
+        eng.add_actor(Box::new(TimerUser { fired: Rc::clone(&fired) }));
+        let (_, stats) = eng.run();
         assert_eq!(stats.events, 3);
         assert_eq!(stats.end_time, SimTime::from_nanos(30));
-        let _ = actors;
+        let ns = SimTime::from_nanos;
+        assert_eq!(*fired.borrow(), vec![(1, ns(10)), (2, ns(20)), (3, ns(30))]);
     }
 
     #[test]
@@ -753,7 +864,7 @@ mod tests {
 
     /// A cancelled timer never fires; an uncancelled sibling still does.
     struct CancelUser {
-        fired: Vec<u64>,
+        fired: Rc<RefCell<Vec<u64>>>,
         handle: Option<TimerId>,
     }
     impl Actor<()> for CancelUser {
@@ -764,7 +875,7 @@ mod tests {
         }
         fn on_message(&mut self, _f: ActorId, _m: (), _c: &mut Ctx<'_, ()>) {}
         fn on_timer(&mut self, key: u64, ctx: &mut Ctx<'_, ()>) {
-            self.fired.push(key);
+            self.fired.borrow_mut().push(key);
             if key == 0 {
                 ctx.cancel_timer(self.handle.take().expect("armed in on_start"));
             }
@@ -773,12 +884,12 @@ mod tests {
 
     #[test]
     fn cancelled_timer_does_not_fire() {
+        let fired = Rc::new(RefCell::new(Vec::new()));
         let mut eng = Engine::new();
-        eng.add_actor(Box::new(CancelUser { fired: vec![], handle: None }));
-        let (actors, stats) = eng.run();
-        let user = &actors[0];
-        let _ = user;
+        eng.add_actor(Box::new(CancelUser { fired: Rc::clone(&fired), handle: None }));
+        let (_, stats) = eng.run();
         // Key 1's timer was cancelled at t=10ns; keys 0 and 2 fire.
+        assert_eq!(*fired.borrow(), vec![0, 2]);
         assert_eq!(stats.events, 2);
         assert_eq!(stats.end_time, SimTime::from_nanos(80));
     }
@@ -824,7 +935,7 @@ mod tests {
         }
     }
     struct Victim {
-        got: Vec<u32>,
+        got: Rc<RefCell<Vec<u32>>>,
     }
     impl Actor<u32> for Victim {
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
@@ -832,7 +943,7 @@ mod tests {
             ctx.set_timer(SimTime::from_nanos(100), 9);
         }
         fn on_message(&mut self, _f: ActorId, msg: u32, _c: &mut Ctx<'_, u32>) {
-            self.got.push(msg);
+            self.got.borrow_mut().push(msg);
         }
         fn on_timer(&mut self, _key: u64, _ctx: &mut Ctx<'_, u32>) {
             panic!("dead actor's timer must not fire");
@@ -841,16 +952,17 @@ mod tests {
 
     #[test]
     fn killed_actor_receives_nothing_further() {
+        let got = Rc::new(RefCell::new(Vec::new()));
         let mut eng = Engine::new();
         eng.add_actor(Box::new(Assassin { victim: 1 }));
-        eng.add_actor(Box::new(Victim { got: vec![] }));
-        let (actors, stats) = eng.run();
+        eng.add_actor(Box::new(Victim { got: Rc::clone(&got) }));
+        let (_, stats) = eng.run();
         // Events: first delivery (t=5), kill timer (t=20). The second
         // delivery and the victim's own timer become dead letters.
+        assert_eq!(*got.borrow(), vec![1]);
         assert_eq!(stats.events, 2);
         assert_eq!(stats.dead_letters, 2);
         assert!(!stats.stopped);
-        let _ = actors;
     }
 
     /// An interceptor that drops every Nth message and delays the rest.
@@ -871,9 +983,10 @@ mod tests {
 
     #[test]
     fn interceptor_drops_and_delays() {
+        let log = Rc::new(RefCell::new(Vec::new()));
         let mut eng = Engine::new();
         eng.add_actor(Box::new(Burst));
-        eng.add_actor(Box::new(Recorder { log: vec![] }));
+        eng.add_actor(Box::new(Recorder { log: Rc::clone(&log) }));
         eng.set_interceptor(Box::new(EveryOther { n: 0, extra: SimTime::from_nanos(7) }));
         let (_, stats) = eng.run();
         // 16 sends: 8 dropped, 8 delayed-but-delivered.
@@ -881,6 +994,8 @@ mod tests {
         assert_eq!(stats.delayed_sends, 8);
         assert_eq!(stats.events, 8);
         assert_eq!(stats.end_time, SimTime::from_nanos(1007));
+        // The 1st, 3rd, ... sends survive, still in scheduling order.
+        assert_eq!(*log.borrow(), (0..16).step_by(2).collect::<Vec<u32>>());
     }
 
     /// No interceptor and a pass-through interceptor produce identical runs.

@@ -1,8 +1,10 @@
 //! A deterministic discrete-event simulation (DES) engine.
 //!
 //! This is the workspace's substitute for the SimGrid simulation kernel: a
-//! virtual clock, a priority queue of timestamped events, and an actor model
-//! for event-driven processes (the master and workers of `dls-msgsim`).
+//! virtual clock, a priority queue of timestamped events (a binary heap,
+//! beside FIFO lanes for messages that share one send delay), and an actor
+//! model for event-driven processes (the master and workers of
+//! `dls-msgsim`).
 //!
 //! Design points:
 //!

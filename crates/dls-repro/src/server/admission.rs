@@ -27,6 +27,10 @@ use dls_telemetry::Telemetry;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Longest single wait of a queued request before it re-checks the cancel
+/// flag, which is polled rather than signalled.
+const QUEUE_POLL: Duration = Duration::from_millis(20);
+
 /// Outcome of an admission attempt.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Admit {
@@ -92,10 +96,13 @@ impl Admission {
         state.queued += 1;
         let entered = Instant::now();
         let outcome = loop {
-            let (next, _timeout) = self
-                .freed
-                .wait_timeout(state, Duration::from_millis(20))
-                .unwrap_or_else(|e| e.into_inner());
+            // Never sleep past the deadline: a request expires on time, not
+            // at the next poll.
+            let wait = deadline.map_or(QUEUE_POLL, |d| {
+                d.saturating_duration_since(Instant::now()).min(QUEUE_POLL)
+            });
+            let (next, _timeout) =
+                self.freed.wait_timeout(state, wait).unwrap_or_else(|e| e.into_inner());
             state = next;
             if cancel.is_cancelled() {
                 state.queued -= 1;
@@ -214,6 +221,19 @@ mod tests {
         let h = h.histogram("serve.queue_wait_ms").expect("queue wait observed");
         assert_eq!(h.count, 1);
         assert!(h.min >= 20.0, "waited at least one poll interval: {}", h.min);
+    }
+
+    #[test]
+    fn a_deadline_shorter_than_the_poll_bounds_the_queue_wait() {
+        let adm = Admission::new(1, 4).with_telemetry(Telemetry::enabled());
+        let cancel = CancelFlag::new();
+        assert_eq!(adm.admit(&cancel, None), Admit::Granted, "slot is now held");
+        let deadline = Instant::now() + Duration::from_millis(5);
+        assert_eq!(adm.admit(&cancel, Some(deadline)), Admit::Expired);
+        let h = adm.telemetry.snapshot();
+        let h = h.histogram("serve.queue_wait_ms").expect("queue wait observed");
+        assert_eq!(h.count, 1);
+        assert!(h.min < 20.0, "expired at its 5 ms deadline, not the 20 ms poll: {}", h.min);
     }
 
     #[test]

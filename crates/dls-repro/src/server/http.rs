@@ -140,7 +140,9 @@ pub fn read_request(stream: &TcpStream) -> std::io::Result<Request> {
     Ok(Request { method, path, headers, body })
 }
 
-/// Writes `response` to `stream` and flushes it.
+/// Writes `response` to `stream` in one write and flushes it. Headers and
+/// body go out together: split, the body would wait on Nagle's algorithm
+/// for the client to acknowledge the headers.
 pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
@@ -153,8 +155,9 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::R
         head.push_str(&format!("{name}: {value}\r\n"));
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    let mut message = head.into_bytes();
+    message.extend_from_slice(&response.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 

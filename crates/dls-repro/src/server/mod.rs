@@ -37,6 +37,16 @@
 //! `--max-connections` with an immediate 503, and `GET /readyz` flips
 //! not-ready during SIGINT drain and while the cache tier is degraded.
 //!
+//! **Accept path**: one acceptor thread blocks in `accept` and hands each
+//! connection over a rendezvous channel to the run loop ([`Server::run`]),
+//! which sheds, counts and spawns handlers as they arrive. The run loop
+//! waits on the channel with a 5 ms timeout only to check the
+//! [`CancelFlag`]: the CLI's SIGINT handler just sets that flag, and std
+//! retries an `accept` interrupted by a signal (EINTR), so a run loop
+//! blocked in `accept` would never notice Ctrl-C. On exit the run loop
+//! drops its end of the channel, wakes the acceptor with one loopback
+//! connect and joins it, so the listen port is free when `run` returns.
+//!
 //! Observability surfaces:
 //!
 //! * `GET /metrics` exports the server's [`Telemetry`] snapshot in the
@@ -69,9 +79,10 @@ use dls_telemetry::{to_prometheus_text, Logger, Telemetry};
 use http::{Request, Response};
 use serde::Value;
 use spans::{RequestSpans, RequestTrail};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -256,53 +267,101 @@ impl Server {
 
     /// Serves until cancelled (→ [`ReproError::Interrupted`], exit 130) or
     /// until `max_requests` connections were handled (→ `Ok`, exit 0).
-    /// Each connection is handled on its own thread, bounded by
-    /// `max_connections` — beyond that the accept loop sheds with an
-    /// immediate 503 instead of accumulating handler threads. In-flight
+    /// Connections arrive from an acceptor thread (see the module docs);
+    /// each is handled on its own thread, bounded by `max_connections` —
+    /// beyond that the run loop sheds with an immediate 503 instead of
+    /// accumulating handler threads. The acceptor is stopped and in-flight
     /// handlers are drained before returning.
     pub fn run(self) -> Result<(), ReproError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ReproError::io(format!("listener: {e}")))?;
+        let Server { listener, shared, max_requests, max_connections } = self;
+        let addr = listener.local_addr().map_err(|e| ReproError::io(format!("listener: {e}")))?;
+        // A rendezvous channel: the acceptor holds at most one connection
+        // the run loop has not taken, and a flood waits in the kernel's
+        // listen backlog instead of piling up accepted sockets.
+        let (accepted, incoming) = mpsc::sync_channel(0);
+        let acceptor = std::thread::spawn(move || accept_into(&listener, &accepted));
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut handled: u64 = 0;
         let outcome = loop {
-            if self.shared.cancel.is_cancelled() {
+            if shared.cancel.is_cancelled() {
                 break Err(ReproError::Interrupted { resume_dir: None });
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
+            match incoming.recv_timeout(CANCEL_POLL) {
+                Ok(Ok(stream)) => {
                     handles.retain(|h| !h.is_finished());
-                    if handles.len() >= self.max_connections {
-                        // Shed on the accept thread without reading the
-                        // request: the bound exists to protect the server
-                        // from connection floods, so the answer must not
-                        // cost a handler thread.
-                        self.shared.telemetry.counter_inc("serve.connections_shed");
+                    if handles.len() >= max_connections {
+                        // Shed on the run loop without reading the request:
+                        // the bound exists to protect the server from
+                        // connection floods, so the answer must not cost a
+                        // handler thread.
+                        shared.telemetry.counter_inc("serve.connections_shed");
                         let mut stream = stream;
-                        let _ = stream.set_nonblocking(false);
                         let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
-                        let retry = self.shared.admission.retry_after_secs();
+                        let retry = shared.admission.retry_after_secs();
                         let _ = http::write_response(&mut stream, &overloaded_response(retry));
                         continue;
                     }
                     handled += 1;
-                    let shared = Arc::clone(&self.shared);
+                    let shared = Arc::clone(&shared);
                     handles.push(std::thread::spawn(move || handle_connection(stream, &shared)));
-                    if self.max_requests.is_some_and(|n| handled >= n) {
+                    if max_requests.is_some_and(|n| handled >= n) {
                         break Ok(());
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                Ok(Err(e)) => break Err(ReproError::io(format!("accept: {e}"))),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
+                    break Err(ReproError::io("accept: the acceptor thread stopped"));
                 }
-                Err(e) => break Err(ReproError::io(format!("accept: {e}"))),
             }
         };
+        drop(incoming);
+        stop_acceptor(acceptor, addr);
         for h in handles {
             let _ = h.join();
         }
         outcome
+    }
+}
+
+/// How long the run loop waits for a connection before it checks the
+/// cancel flag again; the module docs say why the flag is polled.
+const CANCEL_POLL: Duration = Duration::from_millis(5);
+
+/// How long the shutdown connect that wakes the acceptor may take before
+/// the acceptor is left detached.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The acceptor thread: blocks in `accept` and hands every connection to
+/// the run loop. It stops after the first accept error (sent on, so `run`
+/// reports it) or once the run loop has dropped its receiver, and the
+/// listener closes with it.
+fn accept_into(listener: &TcpListener, accepted: &mpsc::SyncSender<std::io::Result<TcpStream>>) {
+    loop {
+        let next = listener.accept().map(|(stream, _peer)| stream);
+        let failed = next.is_err();
+        if accepted.send(next).is_err() || failed {
+            return;
+        }
+    }
+}
+
+/// Wakes the acceptor, whose receiver is already dropped, with one
+/// loopback connect and joins it, so the listen port is free once `run`
+/// returns. If the connect fails, the acceptor is left detached instead of
+/// hanging shutdown on a join that might never return (an acceptor that
+/// stopped on an accept error has already closed the listener, so the
+/// connect is refused and there is nothing left to join).
+fn stop_acceptor(acceptor: std::thread::JoinHandle<()>, addr: SocketAddr) {
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
+        let _ = acceptor.join();
     }
 }
 
@@ -314,10 +373,9 @@ fn socket_timeout(ms: u64) -> Option<Duration> {
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut stream = stream;
-    // Blocking I/O per connection; the accept loop is the only nonblocking
-    // socket. A stuck client can neither stall reads past the read timeout
-    // nor wedge the response write past the write timeout.
-    let _ = stream.set_nonblocking(false);
+    // Blocking I/O per connection: a stuck client can neither stall reads
+    // past the read timeout nor wedge the response write past the write
+    // timeout.
     let _ = stream.set_read_timeout(socket_timeout(shared.read_timeout_ms));
     let _ = stream.set_write_timeout(socket_timeout(shared.write_timeout_ms));
     let response = match http::read_request(&stream) {
@@ -569,6 +627,10 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
+/// How often a [`Watchdog`] checks its deadline and the server's cancel
+/// flag while the computation runs.
+const WATCHDOG_TICK: Duration = Duration::from_millis(5);
+
 /// Deadline enforcement for one granted computation.
 ///
 /// The campaign runs with a *request-scoped* [`CancelFlag`]; the watchdog
@@ -576,8 +638,10 @@ impl Drop for SlotGuard<'_> {
 /// cancellation seam then stops between runs — HTTP 504, slot freed, no
 /// thread leak), propagates server-wide shutdown into the same flag, and
 /// logs warn-level heartbeats for computations overrunning **2×** their
-/// deadline, then once per further deadline interval. [`Watchdog::finish`]
-/// joins the thread — the watchdog never outlives its request.
+/// deadline, then once per further deadline interval. It checks every
+/// [`WATCHDOG_TICK`], parked in between; [`Watchdog::finish`] unparks and
+/// joins the thread, so the watchdog never outlives its request and the
+/// request never waits out a tick.
 struct Watchdog {
     done: Arc<AtomicBool>,
     expired: Arc<AtomicBool>,
@@ -626,7 +690,7 @@ impl Watchdog {
                         next_warn = now + interval;
                     }
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::park_timeout(WATCHDOG_TICK);
             }
         });
         Watchdog { done, expired, handle: Some(handle) }
@@ -637,6 +701,9 @@ impl Watchdog {
     fn finish(mut self) -> bool {
         self.done.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
+            // An unpark that lands before the thread parks makes that park
+            // return at once, so the wake-up cannot be lost.
+            handle.thread().unpark();
             let _ = handle.join();
         }
         self.expired.load(Ordering::Relaxed)
@@ -1114,6 +1181,36 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(!watchdog.finish(), "shutdown is not a deadline expiry");
+    }
+
+    /// `finish` wakes the watchdog instead of waiting out its tick, so a
+    /// request with a deadline pays nothing for the watchdog after its
+    /// computation ends.
+    #[test]
+    fn watchdog_finish_returns_without_waiting_out_a_tick() {
+        // A server already shutting down makes each watchdog's first check
+        // cancel its request flag: once that flag is set, the watchdog has
+        // checked and is waiting for its next tick.
+        let server_cancel = CancelFlag::new();
+        server_cancel.cancel();
+        let started = Instant::now();
+        for _ in 0..200 {
+            let request_cancel = CancelFlag::new();
+            let watchdog = Watchdog::spawn(
+                Instant::now() + Duration::from_secs(3600),
+                3_600_000,
+                request_cancel.clone(),
+                server_cancel.clone(),
+                Logger::disabled(),
+                "k".into(),
+            );
+            while !request_cancel.is_cancelled() {
+                std::thread::yield_now();
+            }
+            assert!(!watchdog.finish(), "a far deadline does not expire");
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(250), "200 spawn/finish cycles took {elapsed:?}");
     }
 
     #[test]

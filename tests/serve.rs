@@ -21,7 +21,11 @@
 //! * `GET /readyz` is ready on a healthy server and flips to 503 once the
 //!   cache persistence tier degrades;
 //! * a stuck client is cut off by the read timeout without wedging the
-//!   server, and raw non-HTTP garbage gets a typed 400.
+//!   server, and raw non-HTTP garbage gets a typed 400;
+//! * a connection beyond `max_connections` is shed with a typed 503;
+//! * connections are accepted as they arrive (50 sequential requests on an
+//!   idle server wait out no poll), and a cancelled or `max_requests`
+//!   server returns promptly with its listen port free.
 
 use dls_chaos::HostFaultPlan;
 use dls_suite::dls_repro::hagerup_exp::{run_figure_resilient, HagerupConfig};
@@ -31,7 +35,7 @@ use dls_suite::dls_repro::server::{ServeConfig, Server};
 use dls_telemetry::{parse_prometheus_text, Logger, Snapshot, Telemetry};
 use serde::Value;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -568,4 +572,92 @@ fn raw_garbage_bytes_are_rejected_with_a_400() {
     let (status, _, _) = exchange(addr, "GET", "/healthz", b"");
     assert_eq!(status, 200);
     server.stop();
+}
+
+/// Beyond `max_connections` open connections a new one is shed with a
+/// typed 503 before anything is read from it; the open one is unaffected.
+#[test]
+fn connections_beyond_the_bound_are_shed_with_a_503() {
+    let dir = tmp_dir("shed-connections");
+    let server = start_with(ServeConfig { max_connections: 1, ..config(&dir, 1, 4, 0) });
+    // Half a request head: its handler holds the one connection slot,
+    // blocked reading the rest. Connections are accepted in order, so it
+    // is taken before the next one.
+    let mut held = TcpStream::connect(server.addr).unwrap();
+    held.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+
+    // The shed connection sends nothing: the server answers without
+    // reading, and unread request bytes would turn its close into a reset.
+    let mut shed = TcpStream::connect(server.addr).unwrap();
+    let mut raw = Vec::new();
+    shed.read_to_end(&mut raw).unwrap();
+    let (status, headers, body) = parse_response(&raw);
+    assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
+    assert!(String::from_utf8(body).unwrap().contains("\"class\":\"overloaded\""));
+    assert!(header(&headers, "retry-after").is_some(), "a shed carries Retry-After");
+
+    held.write_all(b"\r\n").unwrap();
+    let mut raw = Vec::new();
+    held.read_to_end(&mut raw).unwrap();
+    assert_eq!(parse_response(&raw).0, 200, "the held connection is still served");
+    server.stop();
+}
+
+/// Connections are taken as they arrive, not at the run loop's next
+/// cancel check: sequential requests on an idle server wait out no poll.
+#[test]
+fn sequential_requests_on_an_idle_server_wait_out_no_accept_poll() {
+    let dir = tmp_dir("idle-accept");
+    let server = start(&dir, 1, 4, 0);
+    let addr = server.addr;
+    let started = Instant::now();
+    for _ in 0..50 {
+        let (status, _, _) = exchange(addr, "GET", "/healthz", b"");
+        assert_eq!(status, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(120), "50 health checks took {elapsed:?}");
+    server.stop();
+}
+
+/// Joins the server thread, failing if `run` has not returned within 1 s.
+fn join_within_a_second(
+    handle: std::thread::JoinHandle<Result<(), dls_suite::dls_repro::error::ReproError>>,
+) -> Result<(), dls_suite::dls_repro::error::ReproError> {
+    let started = Instant::now();
+    while !handle.is_finished() {
+        assert!(started.elapsed() < Duration::from_secs(1), "run() did not return within 1 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.join().unwrap()
+}
+
+/// However the server stops — cancelled, or after `max_requests` — `run`
+/// returns promptly and the listen port can be bound again at once: no
+/// acceptor thread is left holding the listener, including on a wildcard
+/// bind, where the shutdown wake-up must go to loopback.
+#[test]
+fn shutdown_returns_promptly_and_frees_the_listen_port() {
+    for (i, bind) in ["127.0.0.1:0", "0.0.0.0:0"].into_iter().enumerate() {
+        for max_requests in [None, Some(2)] {
+            let dir = tmp_dir(&format!("free-port-{i}-{}", max_requests.is_some()));
+            let server = start_with(ServeConfig {
+                addr: bind.into(),
+                max_requests,
+                ..config(&dir, 1, 4, 0)
+            });
+            let port = server.addr.port();
+            let loopback = SocketAddr::from(([127, 0, 0, 1], port));
+            assert_eq!(exchange(loopback, "GET", "/healthz", b"").0, 200);
+            match max_requests {
+                None => server.cancel.cancel(),
+                Some(_) => assert_eq!(exchange(loopback, "GET", "/healthz", b"").0, 200),
+            }
+            let exit = join_within_a_second(server.handle).map_or_else(|e| e.exit_code(), |()| 0);
+            assert_eq!(exit, if max_requests.is_some() { 0 } else { 130 }, "{bind}");
+            let ip = bind.parse::<SocketAddr>().unwrap().ip();
+            TcpListener::bind(SocketAddr::new(ip, port))
+                .unwrap_or_else(|e| panic!("{bind}: port {port} still held after run(): {e}"));
+        }
+    }
 }
